@@ -1,26 +1,25 @@
-// Wire-protocol A/B (google-benchmark): v1 strict request/reply vs v2
-// pipelined, at 1 / 8 / 64 / 256 concurrent clients against ONE
-// PlanServer (epoll event loop + handler pool, Unix socket).
+// Wire-protocol A/B (google-benchmark): pipeline depth 1 (one request in
+// flight per connection) vs fully pipelined, at 1 / 8 / 64 / 256
+// concurrent clients against ONE PlanServer (epoll event loop + handler
+// pool, Unix socket).
 //
 // Each benchmark thread IS one client: it owns a connection and, per
 // iteration, pushes kRequestsPerClient requests through it.
 //
-//   v1 leg — connect(ep, 0, pipeline=false): no Hello, 5-byte headers,
-//            one frame in flight per connection.  Every request pays a
-//            full client->server->client round trip before the next may
-//            start.
-//   v2 leg — the negotiated pipelined path: all kRequestsPerClient
-//            requests written back-to-back, replies demuxed by request
-//            id.  The server's event loop parses many frames per recv
-//            and coalesces queued replies into one sendmsg — the syscall
-//            amortization v1's lockstep framing makes impossible.
+//   depth-1 leg   — each request waits for its reply before the next is
+//                   written: every request pays a full
+//                   client->server->client round trip.
+//   pipelined leg — all kRequestsPerClient requests written back-to-back,
+//                   replies demuxed by request id.  The server's event
+//                   loop parses many frames per recv and coalesces queued
+//                   replies into one sendmsg — the syscall amortization
+//                   lockstep request/reply makes impossible.
 //
 // Two request mixes, because they bound the win from both sides:
 //
 //  * BM_Connections_Wire_*  — Stats requests: near-zero server work, so
 //                             the numbers are the protocol + event loop
-//                             themselves.  This is the ISSUE 8 A/B
-//                             (v2 >= 2x v1 at 64 clients).
+//                             themselves.
 //  * BM_Connections_Runs_*  — tiny fig7@16 runs: real executor work per
 //                             request.  Once the shared WorkerPool
 //                             saturates the machine, BOTH legs converge
@@ -93,15 +92,15 @@ void finish_counters(benchmark::State& state, bool pipeline) {
   if (state.thread_index() == 0) {
     state.counters["clients"] =
         benchmark::Counter(static_cast<double>(state.threads()));
-    state.counters["protocol"] = benchmark::Counter(pipeline ? 2.0 : 1.0);
+    state.counters["depth"] =
+        benchmark::Counter(pipeline ? kRequestsPerClient : 1.0);
   }
 }
 
 // ---- The protocol-bound mix: Stats requests. ----
 
 void wire_leg(benchmark::State& state, bool pipeline) {
-  PlanClient client =
-      PlanClient::connect(server_endpoint(), /*timeout_ms=*/0, pipeline);
+  PlanClient client = PlanClient::connect(server_endpoint());
   for (auto _ : state) {
     if (pipeline) {
       std::vector<std::future<wire::StatsReply>> futs;
@@ -119,10 +118,10 @@ void wire_leg(benchmark::State& state, bool pipeline) {
   finish_counters(state, pipeline);
 }
 
-void BM_Connections_Wire_V1Blocking(benchmark::State& state) {
+void BM_Connections_Wire_Depth1(benchmark::State& state) {
   wire_leg(state, /*pipeline=*/false);
 }
-BENCHMARK(BM_Connections_Wire_V1Blocking)
+BENCHMARK(BM_Connections_Wire_Depth1)
     ->Threads(1)
     ->Threads(8)
     ->Threads(64)
@@ -130,10 +129,10 @@ BENCHMARK(BM_Connections_Wire_V1Blocking)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-void BM_Connections_Wire_V2Pipelined(benchmark::State& state) {
+void BM_Connections_Wire_Pipelined(benchmark::State& state) {
   wire_leg(state, /*pipeline=*/true);
 }
-BENCHMARK(BM_Connections_Wire_V2Pipelined)
+BENCHMARK(BM_Connections_Wire_Pipelined)
     ->Threads(1)
     ->Threads(8)
     ->Threads(64)
@@ -144,8 +143,7 @@ BENCHMARK(BM_Connections_Wire_V2Pipelined)
 // ---- The compute-bound mix: tiny runs on the shared WorkerPool. ----
 
 void runs_leg(benchmark::State& state, bool pipeline) {
-  PlanClient client =
-      PlanClient::connect(server_endpoint(), /*timeout_ms=*/0, pipeline);
+  PlanClient client = PlanClient::connect(server_endpoint());
   const std::uint64_t id =
       client.submit_program(tiny().prog, tiny().g).program_id;
   for (auto _ : state) {
@@ -165,20 +163,20 @@ void runs_leg(benchmark::State& state, bool pipeline) {
   finish_counters(state, pipeline);
 }
 
-void BM_Connections_Runs_V1Blocking(benchmark::State& state) {
+void BM_Connections_Runs_Depth1(benchmark::State& state) {
   runs_leg(state, /*pipeline=*/false);
 }
-BENCHMARK(BM_Connections_Runs_V1Blocking)
+BENCHMARK(BM_Connections_Runs_Depth1)
     ->Threads(1)
     ->Threads(8)
     ->Threads(64)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-void BM_Connections_Runs_V2Pipelined(benchmark::State& state) {
+void BM_Connections_Runs_Pipelined(benchmark::State& state) {
   runs_leg(state, /*pipeline=*/true);
 }
-BENCHMARK(BM_Connections_Runs_V2Pipelined)
+BENCHMARK(BM_Connections_Runs_Pipelined)
     ->Threads(1)
     ->Threads(8)
     ->Threads(64)

@@ -3,20 +3,17 @@
 // time should be of the same order as communication cost).
 //
 // Uses the compiled-plan API: each loop is compiled once
-// (compile -> ExecutorPlan) and the same plan is executed under both
-// transports plus the sequential reference, so the series isolates
-// transport cost from plan construction.  Counters report the liveness
-// pass's effect (slots vs slots_ssa) so a slot-reuse regression shows up
-// in the recorded JSON, not just in wall time.
+// (compile -> ExecutorPlan) and the same plan is executed threaded plus
+// the sequential reference, so the series isolates execution cost from
+// plan construction.  Counters report the liveness pass's effect (slots
+// vs slots_ssa) so a slot-reuse regression shows up in the recorded JSON,
+// not just in wall time.
 //
 // tools/bench_runner.py records these as BENCH_bench_runtime_threads.json;
 // tools/bench_diff.py diffs two snapshots (CI keeps the previous run's
-// artifact for exactly that).  Set MIMD_BENCH_SLOTS=ssa to compile the
-// plans without the liveness pass — record one JSON per policy and diff
-// them to check slot reuse itself never regresses the hot path.
+// artifact for exactly that).
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -52,12 +49,7 @@ ExecutorPlan make_plan(const Ddg& g) {
   FullSchedOptions fold;
   fold.flow_strategy = FlowStrategy::Fold;
   const FullSchedResult sched = full_sched(g, m, kIterations, fold);
-  CompileOptions copts;
-  const char* policy = std::getenv("MIMD_BENCH_SLOTS");
-  if (policy != nullptr && std::string(policy) == "ssa") {
-    copts.slots = SlotPolicy::Ssa;
-  }
-  return compile(lower(sched.schedule, g), g, copts);
+  return compile(lower(sched.schedule, g), g);
 }
 
 struct LoopCase {
@@ -82,27 +74,23 @@ const LoopCase& cached_case(const std::string& name) {
   return it->second;
 }
 
-void BM_Threaded(benchmark::State& state, const std::string& name,
-                 Transport transport) {
+void BM_Threaded(benchmark::State& state, const std::string& name) {
   const LoopCase& c = cached_case(name);
   const ExecutorPlan& plan = c.plan;
   KernelOptions kernel;
   kernel.work_per_cycle = kWorkPerCycle;
-  RunOptions opts{kernel};
-  opts.transport = transport;
+  const RunOptions opts{kernel};
 
-  // Validate once per (loop, transport), outside the timed loop: the
-  // bench must not record a number for a wrong execution.
+  // Validate once per loop, outside the timed loop: the bench must not
+  // record a number for a wrong execution.
   static std::set<std::string> validated;
-  const std::string key =
-      name + (transport == Transport::Spsc ? "/spsc" : "/mutex");
-  if (validated.find(key) == validated.end()) {
+  if (validated.find(name) == validated.end()) {
     if (!values_match(plan.run(kIterations, opts), c.reference,
                       kIterations)) {
       state.SkipWithError("threaded execution mismatched sequential");
       return;
     }
-    validated.insert(key);
+    validated.insert(name);
   }
 
   for (auto _ : state) {
@@ -119,7 +107,7 @@ void BM_Threaded(benchmark::State& state, const std::string& name,
 }
 
 void BM_NativePooled(benchmark::State& state, const std::string& name) {
-  // The JIT's pool-dispatched path (ABI v2 entries on a shared
+  // The JIT's pool-dispatched path (kernel entries on a shared
   // WorkerPool) per workload.  Native kernels implement only the real
   // computation — no synthetic work_per_cycle — so this series is not
   // comparable to BM_Threaded above; it isolates the per-run dispatch +
@@ -170,16 +158,10 @@ const char* kLoops[] = {"fig7", "LL18", "LL20", "elliptic"};
         (std::string("BM_Sequential/") + loop).c_str(),
         [loop](benchmark::State& s) { BM_Sequential(s, loop); })
         ->Unit(benchmark::kMillisecond);
-    for (const Transport t : {Transport::Mutex, Transport::Spsc}) {
-      const std::string tag =
-          std::string("BM_Threaded/") + loop +
-          (t == Transport::Spsc ? "/spsc" : "/mutex");
-      benchmark::RegisterBenchmark(
-          tag.c_str(), [loop, t](benchmark::State& s) {
-            BM_Threaded(s, loop, t);
-          })
-          ->Unit(benchmark::kMillisecond);
-    }
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Threaded/") + loop).c_str(),
+        [loop](benchmark::State& s) { BM_Threaded(s, loop); })
+        ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(
         (std::string("BM_NativePooled/") + loop).c_str(),
         [loop](benchmark::State& s) { BM_NativePooled(s, loop); })

@@ -12,15 +12,16 @@
 // compile() lowers the interpreted program to the slot-resolved
 // CompiledProgram form (partition/compiled_program.hpp): dense channel
 // ids, per-thread flat slot arrays, and pre-resolved operand descriptors —
-// no associative lookups remain on the run() path.  run() picks the
-// transport: lock-free SPSC rings (default) or the mutex+condvar baseline.
+// no associative lookups remain on the run() path.  Every channel is a
+// lock-free SPSC ring (runtime/spsc_ring.hpp) sized to its exact message
+// count, so no send ever blocks.
 //
 // Memory discipline (race freedom by construction):
 //  * results[v][i] is written by exactly the thread that computes (v, i);
 //  * a thread reads a slot only it wrote; every cross-thread operand
 //    arrives through a channel.
 // The channels provide the necessary happens-before edges (acquire/release
-// on the ring cursors, or the mutex); validation compares against
+// on the ring cursors); validation compares against
 // run_sequential bit-for-bit.
 #pragma once
 
@@ -31,7 +32,6 @@
 #include "partition/compiled_program.hpp"
 #include "partition/partitioned_loop.hpp"
 #include "runtime/kernels.hpp"
-#include "runtime/transport.hpp"
 
 namespace mimd {
 
@@ -45,7 +45,6 @@ class WorkerPool;
 
 struct RunOptions {
   KernelOptions kernel;
-  Transport transport = Transport::Spsc;
   /// Borrow threads from this persistent pool instead of spawning one
   /// std::thread per compiled thread for the run (runtime/worker_pool.hpp
   /// — the plan-service hot path; bench_plan_service measures the gap).
@@ -61,17 +60,6 @@ struct RunOptions {
   /// (affinity_supported()).  A placement hint only: results are
   /// bit-identical pinned or not.
   bool pin_threads = false;
-  /// Spsc only.  0 (default): size each ring to its exact message count,
-  /// so sends never block.  > 0: cap ring capacity at the next power of
-  /// two >= this value — bounded memory with spin-then-yield backpressure.
-  /// CAVEAT: a cap below a channel's in-flight high-water mark can
-  /// deadlock even a validator-approved program (a full channel's sender
-  /// circularly waiting on a consumer blocked elsewhere); after 30 s the
-  /// stalled ring aborts the process with a diagnostic (std::terminate —
-  /// the error fires on a worker thread whose blocked peers cannot be
-  /// unwound) rather than spin silently.  Intended for tests and
-  /// benchmarks that deliberately exercise backpressure.
-  std::int64_t channel_capacity = 0;
 
   RunOptions() = default;
   // NOLINTNEXTLINE(google-explicit-constructor) — existing call sites pass
@@ -88,11 +76,11 @@ class ExecutorPlan {
 
   /// Execute for `n` iterations (must cover every compiled iteration:
   /// n >= program().iterations; ContractViolation otherwise, before any
-  /// thread starts).  Mid-run channel violations (FIFO tag mismatch —
-  /// which a compiled program cannot trigger — or a capped ring stalled
-  /// 30 s) are fatal: they fire on a worker thread, where the escaping
-  /// exception is std::terminate with the violation message, because a
-  /// failed worker cannot unwind the peers blocked on its channels.
+  /// thread starts).  A mid-run FIFO tag mismatch — which a compiled
+  /// program cannot trigger — is fatal: it fires on a worker thread, where
+  /// the escaping exception is std::terminate with the violation message,
+  /// because a failed worker cannot unwind the peers blocked on its
+  /// channels.
   [[nodiscard]] ExecutionResult run(std::int64_t n,
                                     const RunOptions& opts = {}) const;
 
@@ -108,9 +96,10 @@ class ExecutorPlan {
 };
 
 /// Validate (find_program_violation) and compile `prog` into a reusable
-/// plan.  Channel table, slot resolution (liveness-based reuse by default
-/// — CompileOptions::slots), and thread spawn order are all fixed here,
-/// amortized across every subsequent run().
+/// plan.  Channel table, slot resolution (liveness-based reuse), and
+/// thread spawn order are all fixed here, amortized across every
+/// subsequent run().  `copts` never changes the compiled plan; it names
+/// which mid-end produced `prog`, so PlanCache keys separate them.
 [[nodiscard]] ExecutorPlan compile(const PartitionedProgram& prog,
                                    const Ddg& g,
                                    const CompileOptions& copts = {});

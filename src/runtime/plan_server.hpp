@@ -19,10 +19,8 @@
 // Event-loop design (PR 8, replacing thread-per-connection): the loop
 // thread owns epoll, all nonblocking socket reads and writes, accept (with
 // EMFILE backoff folded into the epoll timeout), partial-frame reassembly
-// (wire::FrameBuffer), the per-connection token bucket, and the Hello
-// version negotiation — a version switch must land before the next
-// buffered byte is parsed, so it cannot be deferred to a handler.  Decoded
-// requests are dispatched onto `handler_threads` pool threads; runs still
+// (wire::FrameBuffer), the per-connection token bucket, and the inline
+// Ping/Pong heartbeat.  Decoded requests are dispatched onto `handler_threads` pool threads; runs still
 // execute on the shared WorkerPool.  Handlers never touch sockets: a
 // finished reply is appended to the connection's write queue and the loop
 // is woken through an eventfd to flush it (writev-coalesced — pipelined
@@ -30,11 +28,9 @@
 // O(handler pool), not O(connections).
 //
 // Per-connection state — registry, quota bucket, strikes, buffers — lives
-// in one Connection object guarded by its own mutex (v2 connections may
-// have several handlers in flight at once).  v1 connections are serialized
-// through a per-connection pending queue so their replies keep arriving in
-// request order, exactly as the blocking protocol promises; v2 requests
-// dispatch freely and reply out of order by request id.
+// in one Connection object guarded by its own mutex (a connection may
+// have several handlers in flight at once).  Requests dispatch freely and
+// reply out of order by request id.
 //
 // Backpressure: a connection whose write queue is above
 // `write_high_watermark`, or with `max_pipeline_depth` requests already
@@ -65,6 +61,7 @@
 #include <vector>
 
 #include "runtime/plan_cache.hpp"
+#include "runtime/plan_service.hpp"
 #include "runtime/wire.hpp"
 #include "runtime/worker_pool.hpp"
 
@@ -156,13 +153,9 @@ struct PlanServerStats {
   /// compile-side counters).
   std::uint64_t jit_native_runs = 0;
   std::uint64_t jit_interpreted_runs = 0;
-  /// Subset of jit_native_runs dispatched onto the shared WorkerPool via
-  /// the ABI v2 caller-provides-the-threads kernel entry.
-  std::uint64_t jit_pooled_runs = 0;
   /// Runs that had a published kernel but went interpreted anyway — the
-  /// request's shape (transport/work/channel-capacity, or pinning against
-  /// an old single-entry kernel) or iteration count fell outside what the
-  /// kernel implements.  The counter that answers "why isn't my warm
+  /// request's shape (a synthetic work knob) or iteration count fell
+  /// outside what the kernel implements.  The counter that answers "why isn't my warm
   /// traffic native?".
   std::uint64_t jit_ineligible_runs = 0;
 };
@@ -227,7 +220,7 @@ class PlanServer {
   /// One decoded request bound for (or inside) the handler pool.
   struct Task {
     std::shared_ptr<Connection> conn;
-    wire::FrameV2 frame;
+    wire::Frame frame;
     /// The loop already tripped the frame-rate quota for this frame: the
     /// handler answers with the quota Error and counts the strike.
     bool struck = false;
@@ -238,7 +231,7 @@ class PlanServer {
   void begin_drain();
   void handle_accept(Listener* listener);
   void handle_readable(const std::shared_ptr<Connection>& conn);
-  void on_frame(const std::shared_ptr<Connection>& conn, wire::FrameV2 frame);
+  void on_frame(const std::shared_ptr<Connection>& conn, wire::Frame frame);
   void flush_locked(Connection& c);
   /// Recompute read backpressure (write-queue watermarks + pipeline
   /// depth, with hysteresis); returns the new paused state.
@@ -251,6 +244,9 @@ class PlanServer {
   void handler_loop();
   void process_task(Task& task);
   void enqueue_task(Task task);           // any thread
+  /// Fold `runs` executed runs, `c` of them tallied by run_resolved, into
+  /// the server's jit counters.
+  void count_jit_runs(const JitRunCounters& c, std::uint64_t runs);
   void kick(std::shared_ptr<Connection> conn);  // any thread
 
   PlanServerOptions opts_;
@@ -295,7 +291,6 @@ class PlanServer {
   std::atomic<std::uint64_t> accept_backoffs_{0};
   std::atomic<std::uint64_t> jit_native_runs_{0};
   std::atomic<std::uint64_t> jit_interpreted_runs_{0};
-  std::atomic<std::uint64_t> jit_pooled_runs_{0};
   std::atomic<std::uint64_t> jit_ineligible_runs_{0};
 };
 

@@ -58,44 +58,44 @@ void drive_indexed(std::size_t count, std::size_t concurrency,
 /// Concurrent-driver tallies of how the native tier served a batch.
 struct AtomicJitCounters {
   std::atomic<std::uint64_t> native{0};
-  std::atomic<std::uint64_t> pooled{0};
   std::atomic<std::uint64_t> ineligible{0};
+
+  void add(const JitRunCounters& c) {
+    native.fetch_add(c.native, std::memory_order_relaxed);
+    ineligible.fetch_add(c.ineligible, std::memory_order_relaxed);
+  }
 
   [[nodiscard]] JitRunCounters snapshot() const {
     JitRunCounters c;
     c.native = native.load(std::memory_order_relaxed);
-    c.pooled = pooled.load(std::memory_order_relaxed);
     c.ineligible = ineligible.load(std::memory_order_relaxed);
     return c;
   }
 };
 
-/// The one native-vs-interpreted dispatch both batch drivers (and the
-/// server's single-run path, via the same rules) use.  Preference order:
-/// pooled native entry (ABI v2 — warm pool threads, pinning honored) >
-/// legacy single-entry native (unpinned requests only) > interpreted.
-/// Bit-identical any way — the kernel is the same CompiledProgram
-/// lowered through the C backend.
-ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
-                                  const std::shared_ptr<const JitKernel>& kernel,
-                                  std::int64_t n, const RunOptions& opts,
-                                  AtomicJitCounters& counters) {
-  if (kernel && jit_run_eligible(opts, *kernel) &&
-      n >= plan.program().iterations) {
-    counters.native.fetch_add(1, std::memory_order_relaxed);
-    if (kernel->supports_pool()) {
-      counters.pooled.fetch_add(1, std::memory_order_relaxed);
-      return kernel->run_pooled(n, opts.pool, opts.pin_threads);
-    }
-    return kernel->run(n);
-  }
-  if (kernel) {
-    counters.ineligible.fetch_add(1, std::memory_order_relaxed);
-  }
-  return plan.run(n, opts);
+/// run_resolved with its tally folded into the drivers' shared counters.
+ExecutionResult dispatch_resolved(
+    const ExecutorPlan& plan, const std::shared_ptr<const JitKernel>& kernel,
+    std::int64_t n, const RunOptions& opts, AtomicJitCounters& counters) {
+  JitRunCounters one;
+  ExecutionResult res = run_resolved(plan, kernel, n, opts, one);
+  counters.add(one);
+  return res;
 }
 
 }  // namespace
+
+ExecutionResult run_resolved(const ExecutorPlan& plan,
+                             const std::shared_ptr<const JitKernel>& kernel,
+                             std::int64_t n, const RunOptions& opts,
+                             JitRunCounters& counters) {
+  if (kernel && jit_run_eligible(opts) && n >= plan.program().iterations) {
+    ++counters.native;
+    return kernel->run_pooled(n, opts.pool, opts.pin_threads);
+  }
+  if (kernel) ++counters.ineligible;
+  return plan.run(n, opts);
+}
 
 BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
                       WorkerPool& pool, std::size_t concurrency) {
@@ -131,7 +131,6 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
   report.cache_stats = cache.stats();
   const JitRunCounters c = counters.snapshot();
   report.jit_native_runs = c.native;
-  report.jit_pooled_runs = c.pooled;
   report.jit_ineligible_runs = c.ineligible;
   if (error) std::rethrow_exception(error);
   return report;

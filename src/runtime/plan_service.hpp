@@ -37,23 +37,33 @@ struct BatchJob {
   /// Iterations to run; 0 means the program's own compiled count.
   std::int64_t iterations = 0;
   CompileOptions copts;
-  /// Transport / kernel / pinning for this job.  `pool` is overridden by
-  /// the batch driver — every job runs on the shared pool.
+  /// Kernel / pinning for this job.  `pool` is overridden by the batch
+  /// driver — every job runs on the shared pool.
   RunOptions ropts;
 };
 
-/// How the native tier served a set of resolved jobs.  `native` counts
-/// every kernel-served job; `pooled` is the subset dispatched through the
-/// ABI v2 caller-provides-the-threads entry onto the shared WorkerPool
-/// (the warm path with no pthread_create at all); `ineligible` counts
-/// jobs that had a published kernel but ran interpreted anyway (request
-/// shape or iteration count outside what the kernel implements) — the
-/// counter that tells an operator why warm traffic isn't native.
+/// How the native tier served a set of resolved jobs: `native` counts
+/// every kernel-served job (on the shared WorkerPool, no pthread_create at
+/// all); `ineligible` counts jobs that had a published kernel but ran
+/// interpreted anyway (request shape or iteration count outside what the
+/// kernel implements) — the counter that tells an operator why warm
+/// traffic isn't native.
 struct JitRunCounters {
   std::uint64_t native = 0;
-  std::uint64_t pooled = 0;
   std::uint64_t ineligible = 0;
 };
+
+/// The one native-vs-interpreted dispatch for an already-resolved plan —
+/// shared by the batch drivers below and the daemon's single-run path.
+/// Runs `kernel` on opts.pool when it is published, `opts` is
+/// jit_run_eligible, and `n` covers the compiled program; the interpreted
+/// plan otherwise.  Bit-identical either way — the kernel is the same
+/// CompiledProgram lowered through the C backend.  Adds the choice to
+/// `counters`.
+ExecutionResult run_resolved(const ExecutorPlan& plan,
+                             const std::shared_ptr<const JitKernel>& kernel,
+                             std::int64_t n, const RunOptions& opts,
+                             JitRunCounters& counters);
 
 struct BatchReport {
   /// One result per job, in job order.
@@ -65,8 +75,6 @@ struct BatchReport {
   /// Jobs served by a published native kernel instead of the interpreted
   /// executor (always 0 for a cache without JIT).
   std::uint64_t jit_native_runs = 0;
-  /// Subset of jit_native_runs dispatched onto the shared pool (ABI v2).
-  std::uint64_t jit_pooled_runs = 0;
   /// Jobs with a published kernel that still ran interpreted.
   std::uint64_t jit_ineligible_runs = 0;
 };
@@ -99,7 +107,7 @@ struct PlanJob {
 /// with the same concurrent-driver shape and error discipline (first error
 /// — e.g. iterations below the compiled count — rethrown after the drain).
 /// Results are in job order.  `counters`, when non-null, receives the
-/// native/pooled/ineligible dispatch tallies for the batch.
+/// native/ineligible dispatch tallies for the batch.
 std::vector<ExecutionResult> run_plans(const std::vector<PlanJob>& jobs,
                                        WorkerPool& pool,
                                        std::size_t concurrency = 0,

@@ -1,5 +1,5 @@
-// Lock-free bounded single-producer/single-consumer ring — the fast
-// transport (Transport::Spsc) behind the threaded executor.
+// Lock-free bounded single-producer/single-consumer ring — the transport
+// behind the threaded executor.
 //
 // Every runtime channel is SPSC by construction: a channel is keyed by
 // (edge, src processor, dst processor), so exactly one thread sends and
@@ -18,25 +18,34 @@
 // Backpressure is spin-then-yield: a busy spin (messages in a steady
 // pipeline arrive within microseconds) with periodic yields so an
 // oversubscribed host — including the single-core CI runner — can schedule
-// the peer thread.  A send stalled >30 s on a full ring raises a fatal
-// diagnostic (only an undersized channel_capacity cap can produce that;
-// exact sizing never blocks senders) — fatal because it fires on a worker
-// thread, where an escaping exception is std::terminate: a loud abort
-// with the message in the terminate diagnostic, by design, since a dead
-// sender cannot unwind the peers blocked on its channels.
+// the peer thread.  The executor sizes every ring to its channel's exact
+// message count (ring_capacity), so its senders never wait; a ring built
+// smaller than its traffic blocks the sender until the consumer drains.
+// A send stalled >30 s on a full ring raises a fatal diagnostic — fatal
+// because it fires on a worker thread, where an escaping exception is
+// std::terminate: a loud abort with the message in the terminate
+// diagnostic, by design, since a dead sender cannot unwind the peers
+// blocked on its channels.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "runtime/channel.hpp"
 #include "runtime/transport.hpp"
 #include "support/assert.hpp"
 
 namespace mimd {
+
+/// The unit a channel carries: one value, tagged with its producing
+/// iteration so receivers can assert FIFO delivery.
+struct ChannelMessage {
+  std::int64_t iter = 0;  ///< producing iteration, for FIFO validation
+  double value = 0.0;
+};
 
 class SpscChannel {
  public:
@@ -52,13 +61,13 @@ class SpscChannel {
     mask_ = cap - 1;
   }
 
-  /// A full ring can only happen on artificially capped capacities
-  /// (RunOptions::channel_capacity) — exact sizing never blocks here.  An
-  /// undersized cap can deadlock a valid program (circular wait across
-  /// channels), so the wait loop gives up after ~30 s of no progress
-  /// instead of spinning silently forever: MIMD_UNREACHABLE on this
-  /// worker thread, which std::terminate's the process (see file header —
-  /// deliberate, as peers cannot be unwound).
+  /// A full ring can only happen on a ring built smaller than its
+  /// channel's traffic — exact sizing never blocks here.  An undersized
+  /// ring can deadlock a valid program (circular wait across channels), so
+  /// the wait loop gives up after ~30 s of no progress instead of spinning
+  /// silently forever: MIMD_UNREACHABLE on this worker thread, which
+  /// std::terminate's the process (see file header — deliberate, as peers
+  /// cannot be unwound).
   void send(Message m) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     if (head - cached_tail_ > mask_) {  // looks full: refresh, then wait
@@ -71,8 +80,7 @@ class SpscChannel {
                 std::chrono::seconds(30)) {
           MIMD_UNREACHABLE(
               "SpscChannel::send stalled 30s on a full ring — "
-              "channel_capacity is too small for this program "
-              "(see RunOptions::channel_capacity)");
+              "the ring is too small for this program's traffic");
         }
         cached_tail_ = tail_.load(std::memory_order_acquire);
       }

@@ -1,5 +1,5 @@
-// The compiled executor: compile() -> ExecutorPlan -> run(), both
-// transports, against the bit-for-bit sequential oracle.
+// The compiled executor: compile() -> ExecutorPlan -> run(), against the
+// bit-for-bit sequential oracle.
 #include <gtest/gtest.h>
 
 #include "partition/compiled_program.hpp"
@@ -100,18 +100,18 @@ TEST(CompiledProgram, SlotArraysAreDenseAndInBounds) {
 }
 
 TEST(CompiledProgram, SsaPolicyKeepsOneSlotPerValueInstance) {
+  // The pre-reuse count compile_program records: one slot per value
+  // instance (every compute and receive writes a fresh one).
   const Ddg g = workloads::cytron86_loop();
   const FullSchedResult r = full_sched(g, Machine{8, 2}, 16);
-  CompileOptions opts;
-  opts.slots = SlotPolicy::Ssa;
-  const CompiledProgram cp = compile_program(lower(r.schedule, g), g, opts);
+  const CompiledProgram cp = compile_program(lower(r.schedule, g), g);
   for (const CompiledThread& t : cp.threads) {
     std::uint32_t writes = 0;
     for (const CompiledOp& op : t.ops) {
       if (op.kind != CompiledOp::Kind::Send) ++writes;
     }
-    EXPECT_EQ(writes, t.num_slots);
-    EXPECT_EQ(t.num_slots, t.num_slots_ssa);
+    EXPECT_EQ(writes, t.num_slots_ssa);
+    EXPECT_LE(t.num_slots, t.num_slots_ssa);
   }
 }
 
@@ -167,7 +167,7 @@ TEST(CompiledProgram, RejectsFifoInversion) {
   EXPECT_THROW((void)compile_program(p, g), ContractViolation);
 }
 
-// ---- Plan reuse and transport equivalence. ----
+// ---- Plan reuse and equivalence with the sequential oracle. ----
 
 TEST(ExecutorPlan, RepeatedRunsAreBitIdentical) {
   const Ddg g = workloads::fig7_loop();
@@ -194,25 +194,7 @@ TEST(ExecutorPlan, BothTransportsMatchSequential) {
   ASSERT_TRUE(r.pattern.has_value());
   const ExecutorPlan plan =
       compile(lower(materialize(*r.pattern, m.processors, n), g), g);
-  const auto reference = run_sequential(g, n);
-
-  RunOptions mutex_opts;
-  mutex_opts.transport = Transport::Mutex;
-  expect_equal_values(plan.run(n, mutex_opts), reference, n);
-
-  RunOptions spsc_opts;
-  spsc_opts.transport = Transport::Spsc;
-  expect_equal_values(plan.run(n, spsc_opts), reference, n);
-}
-
-TEST(ExecutorPlan, CappedRingsExerciseBackpressureAndStayCorrect) {
-  const Ddg g = workloads::fig7_loop();
-  const std::int64_t n = 60;
-  const ExecutorPlan plan = compile(fig7_program(g, n), g);
-  RunOptions opts;
-  opts.transport = Transport::Spsc;
-  opts.channel_capacity = 2;  // rings of 2 instead of exact message counts
-  expect_equal_values(plan.run(n, opts), run_sequential(g, n), n);
+  expect_equal_values(plan.run(n), run_sequential(g, n), n);
 }
 
 TEST(ExecutorPlan, RandomLoopsMatchOnBothTransports) {
@@ -224,12 +206,7 @@ TEST(ExecutorPlan, RandomLoopsMatchOnBothTransports) {
     ASSERT_TRUE(r.pattern.has_value());
     const ExecutorPlan plan =
         compile(lower(materialize(*r.pattern, m.processors, n), g), g);
-    const auto reference = run_sequential(g, n);
-    for (const Transport t : {Transport::Mutex, Transport::Spsc}) {
-      RunOptions opts;
-      opts.transport = t;
-      expect_equal_values(plan.run(n, opts), reference, n);
-    }
+    expect_equal_values(plan.run(n), run_sequential(g, n), n);
   }
 }
 
